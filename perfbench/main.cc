@@ -80,6 +80,11 @@ constexpr size_t kStreamCountedRounds = 5;  // counters over the first 500 ops
 constexpr size_t kStreamTailWrites = 200;  // WAL tail replayed by Open
 constexpr uint32_t kWalSync = 1;
 constexpr size_t kServeClients = 3;
+// setup_s is stated at the machine speed where generating kGaugeRows rows
+// of the rung takes kNominalGaugeMs (see SpeedGauge).
+constexpr size_t kGaugeRows = 4000;
+constexpr size_t kGaugeReps = 9;
+constexpr double kNominalGaugeMs = 4.0;
 constexpr const char* kIndex = "main";
 
 // Per-workload recall@10 floors (the measured values sit well above).
@@ -98,6 +103,29 @@ double Percentile(std::vector<double> v, double p) {
   return v[std::min(i, v.size() - 1)];
 }
 double Median(const std::vector<double>& v) { return Percentile(v, 50.0); }
+
+// The machine's speed, taken just before and just after the set-up: the
+// median time in ms to generate kGaugeRows rows with the benchmark's own
+// generator. Like the set-up it is compute-bound, and it never calls into
+// src/, so a change to the program cannot move it.
+struct SpeedGauge {
+  double ms = 0.0;   // median of kGaugeReps generations
+  int64_t ns = 0;    // wall time of the whole gauge
+
+  static SpeedGauge Take() {
+    static volatile float sink = 0.f;
+    const int64_t start = NowNs();
+    std::vector<double> ms;
+    for (size_t r = 0; r < kGaugeReps; ++r) {
+      const int64_t t0 = NowNs();
+      const std::vector<float> rows =
+          ClusteredRows(kGaugeRows, kDim, kClusters, kRowsSeed + 1 + r);
+      ms.push_back(Ms(NowNs() - t0));
+      sink = sink + rows.back();  // the rows are used, so they are made
+    }
+    return {Median(ms), NowNs() - start};
+  }
+};
 
 double ResidentMiB() {
   std::ifstream statm("/proc/self/statm");
@@ -201,8 +229,10 @@ struct Tally {
   std::vector<double> round_qps;  // per round
   std::vector<double> speedup;    // scan time / search time, per block
   std::vector<double> in_scans;   // each search's latency / adjacent scan
-  std::vector<double> round_search_us;         // per round mean, untraced
-  std::vector<double> traced_round_search_us;  // per round mean, traced
+  std::vector<double> round_search_us;  // per untraced round: mean search
+  // Per round: mean time of a whole search operation, spans and the traced
+  // round's extra searches included.
+  std::vector<double> round_op_us, traced_round_op_us;
   // Work counters and recall over the first round (the first 500 ops of
   // stream-durable), so that they are fixed by the seed.
   double candidates = 0, points = 0, windows = 0, rounds = 0;
@@ -220,7 +250,8 @@ struct Setup {
   std::string spec;
   fs::path dir;  // durability directory, removed at the end
   bool sq8 = false;
-  double setup_s = 0.0;
+  double setup_raw_s = 0.0;  // wall time from process start, less the gauge
+  double setup_s = 0.0;      // the same at the nominal gauge speed
   double rss_mb = 0.0;
 };
 
@@ -302,8 +333,9 @@ std::vector<double> Sq8HalfSteps(const Model& model, size_t rows) {
 
 class Bench {
  public:
-  explicit Bench(Args args)
+  Bench(Args args, SpeedGauge gauge)
       : args_(std::move(args)),
+        gauge_(gauge),
         tracer_(args_.trace),
         model_(ClusteredRows(kRows, kDim, kClusters, kRowsSeed), kDim) {}
 
@@ -326,11 +358,12 @@ class Bench {
   void ProbeRtree(const Setup& setup);
   void ProbeKernelsAndStore(const Setup& setup);
   void ProbeWrites(const Setup& setup);
-  void ProbeDurability();
+  void ProbeDurability(bool own_wal);
   void PrintResult(const Setup& setup);
   void CheckSnapshot(const Collection& coll, const std::string& when);
 
   Args args_;
+  SpeedGauge gauge_;  // taken before the set-up
   Tracer tracer_;
   Checks checks_;
   Model model_;
@@ -395,7 +428,8 @@ bool Bench::Start(Setup* setup) {
       return false;
     }
   }
-  setup->setup_s = 1e-9 * static_cast<double>(NowNs() - kProcessStartNs);
+  setup->setup_raw_s =
+      1e-9 * static_cast<double>(NowNs() - kProcessStartNs - gauge_.ns);
   setup->rss_mb = ResidentMiB();
   return true;
 }
@@ -403,7 +437,8 @@ bool Bench::Start(Setup* setup) {
 // One timed Collection::Search; returns false if the call failed. The
 // first round's work counters are summed when `counted`. In a traced round
 // the same request is then sent to every shard's index directly, and the
-// two candidate totals must agree.
+// two candidate totals must agree; the spans of the operation are children
+// of one "search" span.
 bool Bench::SearchOne(const Setup& setup, const ShardIndexes& shards,
                       const float* q, bool traced, bool counted,
                       QueryResponse* response, double* latency_ms) {
@@ -411,13 +446,16 @@ bool Bench::SearchOne(const Setup& setup, const ShardIndexes& shards,
   request.k = kK;
   const uint64_t op = next_op_++;
   ++tally_.attempted;
-  const int32_t span = traced ? tracer_.Begin("collection.search", op) : -1;
+  const int32_t parent = traced ? tracer_.Begin("search", op) : -1;
+  const int32_t span =
+      traced ? tracer_.Begin("collection.search", op, parent) : -1;
   const int64_t t0 = NowNs();
   auto got = setup.coll->Search(q, request, kIndex);
   const int64_t t1 = NowNs();
   tracer_.End(span);
   *latency_ms = Ms(t1 - t0);
   if (!got.ok()) {
+    tracer_.End(parent);
     ++tally_.failed;
     return false;
   }
@@ -436,13 +474,13 @@ bool Bench::SearchOne(const Setup& setup, const ShardIndexes& shards,
   // Self time compares a second Collection::Search with the direct shard
   // searches that follow it, so both find the query's data in cache.
   {
-    Scoped warm_span(&tracer_, "collection.search_warm", op);
+    Scoped warm_span(&tracer_, "collection.search_warm", op, parent);
     checks_.Expect(setup.coll->Search(q, request, kIndex).ok(),
                    "repeated search failed");
   }
   size_t shard_candidates = 0;
   for (size_t s = 0; s < shards.index.size(); ++s) {
-    Scoped shard_span(&tracer_, "db_lsh.search", op);
+    Scoped shard_span(&tracer_, "db_lsh.search", op, parent);
     const QueryResponse part = shards.index[s]->Search(q, shards.effective);
     shard_candidates += part.stats.candidates_verified;
     checks_.Expect(part.stats.candidates_verified <= shards.budget[s],
@@ -450,6 +488,7 @@ bool Bench::SearchOne(const Setup& setup, const ShardIndexes& shards,
   }
   checks_.Expect(shard_candidates == stats.candidates_verified,
                  "Collection::Search candidates != sum over shard indexes");
+  tracer_.End(parent);
   return true;
 }
 
@@ -470,7 +509,8 @@ void Bench::Judge(const Setup& setup, const ShardIndexes& shards,
 
 // Rounds over the fixed query set until `seconds` have passed (at least
 // `min_rounds`). In trace mode odd rounds are traced, even ones are not,
-// so the run can state what tracing costs.
+// so the run can state what tracing costs: the whole time of a traced
+// search operation against an untraced one.
 void Bench::QueryRounds(const Setup& setup, double seconds, size_t min_rounds,
                         std::vector<std::vector<Neighbor>>* first_replies) {
   const ShardIndexes shards = ShardIndexes::Of(*setup.coll, kK, &checks_);
@@ -480,13 +520,17 @@ void Bench::QueryRounds(const Setup& setup, double seconds, size_t min_rounds,
   const int64_t start = NowNs();
   for (size_t round = 0;; ++round) {
     const bool traced = tracer_.enabled() && round % 2 == 1;
-    double search_ms = 0.0, block_ms = 0.0;
+    double search_ms = 0.0, block_ms = 0.0, op_ms = 0.0;
     std::vector<double> block;
     for (size_t i = 0; i < kQueries; ++i) {
       const float* q = &queries_[i * kDim];
       double ms = 0.0;
       response.neighbors.clear();
-      if (SearchOne(setup, shards, q, traced, round == 0, &response, &ms)) {
+      const int64_t c0 = NowNs();
+      const bool ok =
+          SearchOne(setup, shards, q, traced, round == 0, &response, &ms);
+      op_ms += Ms(NowNs() - c0);
+      if (ok) {
         Judge(setup, shards, q, response.neighbors, truth_[i], round == 0);
       }
       if (!traced) tally_.search_ms.push_back(ms);
@@ -515,9 +559,12 @@ void Bench::QueryRounds(const Setup& setup, double seconds, size_t min_rounds,
                      "reference scan is not repeatable");
     }
     const double per_query_ms = search_ms / kQueries;
-    (traced ? tally_.traced_round_search_us : tally_.round_search_us)
-        .push_back(1e3 * per_query_ms);
-    if (!traced) tally_.round_qps.push_back(1e3 / per_query_ms);
+    (traced ? tally_.traced_round_op_us : tally_.round_op_us)
+        .push_back(1e3 * op_ms / kQueries);
+    if (!traced) {
+      tally_.round_search_us.push_back(1e3 * per_query_ms);
+      tally_.round_qps.push_back(1e3 / per_query_ms);
+    }
     if (round + 1 >= min_rounds && Ms(NowNs() - start) >= 1e3 * seconds) break;
   }
 }
@@ -552,14 +599,16 @@ void Bench::ProbeServe(const Setup& setup) {
   for (const bool measured : {false, true}) {  // the first pass warms up
     std::vector<Tracer> local(kServeClients, Tracer(measured, kQueries));
     const uint64_t op0 = next_op_;
-    next_op_ += kQueries;
+    next_op_ += kQueries + kServeClients;
     std::vector<std::thread> threads;
     for (size_t c = 0; c < kServeClients; ++c) {
       threads.emplace_back([&, c] {
         QueryRequest request;
         request.k = kK;
+        Scoped connection(&local[c], "serve.connection", op0 + kQueries + c);
         for (size_t i = c; i < kQueries; i += kServeClients) {
-          Scoped span(&local[c], "serve.client_search", op0 + i);
+          Scoped span(&local[c], "serve.client_search", op0 + i,
+                      connection.index());
           const int64_t s0 = NowNs();
           auto got = clients[c]->Search(kIndex, &queries_[i * kDim], kDim,
                                         request);
@@ -668,7 +717,7 @@ bool Bench::StreamRounds(Setup* setup) {
   for (size_t round = 0;; ++round) {
     const bool traced = tracer_.enabled() && round % 2 == 1;
     const bool counted = round < kStreamCountedRounds;
-    double search_ms = 0.0, write_ms = 0.0;
+    double search_ms = 0.0, write_ms = 0.0, op_ms = 0.0;
     size_t searches = 0;
     for (size_t i = 0; i < kStreamRoundOps; ++i) {
       const double u = rng.Uniform();
@@ -676,8 +725,10 @@ bool Bench::StreamRounds(Setup* setup) {
         Pending p{std::vector<float>(kDim), {}, 0.0, counted, !traced};
         NoisyCopy(model_.row(model_.RandomLive(&rng)), kDim, &rng,
                   p.q.data());
+        const int64_t c0 = NowNs();
         const bool ok = SearchOne(*setup, shards, p.q.data(), traced,
                                   counted, &p.response, &p.ms);
+        op_ms += Ms(NowNs() - c0);
         if (!traced) tally_.search_ms.push_back(p.ms);
         search_ms += p.ms;
         ++searches;
@@ -690,10 +741,10 @@ bool Bench::StreamRounds(Setup* setup) {
       }
     }
     judge_block();
-    const double per_search_ms = search_ms / searches;
-    (traced ? tally_.traced_round_search_us : tally_.round_search_us)
-        .push_back(1e3 * per_search_ms);
+    (traced ? tally_.traced_round_op_us : tally_.round_op_us)
+        .push_back(1e3 * op_ms / searches);
     if (!traced) {
+      tally_.round_search_us.push_back(1e3 * search_ms / searches);
       tally_.round_qps.push_back(1e3 * searches / (search_ms + write_ms));
     }
     if (round + 1 >= kStreamCountedRounds &&
@@ -702,7 +753,9 @@ bool Bench::StreamRounds(Setup* setup) {
     }
   }
 
-  // Checkpoint, then a WAL tail that Open must replay.
+  // Checkpoint, then a WAL tail that Open must replay. The traced run takes
+  // the durability layer's figures from these calls.
+  const int64_t c0 = NowNs();
   {
     Scoped span(&tracer_, "collection.checkpoint", next_op_++);
     if (auto s = setup->coll->Checkpoint(); !s.ok()) {
@@ -710,7 +763,10 @@ bool Bench::StreamRounds(Setup* setup) {
       return false;
     }
   }
+  const double checkpoint_s = 1e-9 * static_cast<double>(NowNs() - c0);
+  const size_t wal0 = WalBytes(setup->dir);
   for (size_t i = 0; i < kStreamTailWrites; ++i) write(i % 2 == 0);
+  const size_t wal_tail = WalBytes(setup->dir) - wal0;
   setup->coll.reset();
   const int64_t t0 = NowNs();
   auto reopened = [&] {
@@ -724,6 +780,11 @@ bool Bench::StreamRounds(Setup* setup) {
   }
   setup->coll = std::move(reopened).value();
   const uint64_t replayed = setup->coll->Durability().replayed_records;
+  Layer("wal.bytes_per_write",
+        static_cast<double>(wal_tail) / kStreamTailWrites, "bytes");
+  Layer("durability.checkpoint_s", checkpoint_s, "s");
+  Layer("durability.records_replayed", static_cast<double>(replayed),
+        "count");
   checks_.Expect(replayed == kStreamTailWrites,
                  "Open replayed " + std::to_string(replayed) +
                      " WAL records, expected " +
@@ -935,9 +996,10 @@ void Bench::ProbeWrites(const Setup& setup) {
 }
 
 // A durable shards=2 collection of the first 10,000 rows and a
-// non-durable twin: upsert cost of the WAL, WAL bytes per write,
-// checkpoint time and records replayed by Open.
-void Bench::ProbeDurability() {
+// non-durable twin: upsert cost of the WAL. Unless the workload has made
+// them itself (`own_wal`), also WAL bytes per write, checkpoint time and
+// records replayed by Open.
+void Bench::ProbeDurability(bool own_wal) {
   const size_t n = 10000;
   const fs::path dir = fs::absolute(
       fs::path(args_.scratch) / ("probe-" + std::to_string(::getpid())));
@@ -975,10 +1037,15 @@ void Bench::ProbeDurability() {
     }
     ++next_op_;
   }
-  Layer("wal.bytes_per_write",
-        static_cast<double>(WalBytes(dir) - wal0) / writes, "bytes");
   Layer("durability.write_overhead_us", Median(durable_us) - Median(plain_us),
         "us");
+  if (own_wal) {
+    durable.value().reset();  // close before the directory goes
+    fs::remove_all(dir);
+    return;
+  }
+  Layer("wal.bytes_per_write",
+        static_cast<double>(WalBytes(dir) - wal0) / writes, "bytes");
   int64_t t0 = NowNs();
   {
     Scoped span(&tracer_, "collection.checkpoint", next_op_++);
@@ -1012,8 +1079,9 @@ void Bench::LayerProbes(const Setup& setup) {
   ProbeServe(setup);
   ProbeRtree(setup);
   ProbeKernelsAndStore(setup);
-  if (args_.workload != "stream-durable") ProbeWrites(setup);
-  ProbeDurability();
+  const bool streaming = args_.workload == "stream-durable";
+  if (!streaming) ProbeWrites(setup);
+  ProbeDurability(streaming);
 }
 
 struct Metric {
@@ -1041,10 +1109,15 @@ void PrintJson(bool correct, uint64_t attempted, uint64_t failed,
 int Bench::Run() {
   Setup setup;
   if (!Start(&setup)) return 1;
-  std::fprintf(stderr, "%s seed=%llu: set-up %.3f s, rss %.1f MiB\n",
+  const SpeedGauge after = SpeedGauge::Take();
+  const double gauge_ms = 0.5 * (gauge_.ms + after.ms);
+  setup.setup_s = setup.setup_raw_s * kNominalGaugeMs / gauge_ms;
+  std::fprintf(stderr,
+               "%s seed=%llu: set-up %.3f s (%.3f s at the nominal speed; "
+               "gauge %.3f ms before, %.3f ms after), rss %.1f MiB\n",
                args_.workload.c_str(),
-               static_cast<unsigned long long>(args_.seed), setup.setup_s,
-               setup.rss_mb);
+               static_cast<unsigned long long>(args_.seed), setup.setup_raw_s,
+               setup.setup_s, gauge_.ms, after.ms, setup.rss_mb);
   // Oracle inputs, outside every timed region.
   MakeQueries();
   truth_.resize(kQueries);
@@ -1176,8 +1249,8 @@ void Bench::PrintResult(const Setup& setup) {
         {"reference.scan_us", Median(tracer_.Durations("reference.scan")),
          "us"},
         {"trace.overhead_pct",
-         100.0 * (Median(tally_.traced_round_search_us) /
-                      Median(tally_.round_search_us) -
+         100.0 * (Median(tally_.traced_round_op_us) /
+                      Median(tally_.round_op_us) -
                   1.0),
          "%"},
     };
@@ -1229,6 +1302,9 @@ int main(int argc, char** argv) {
   }
   std::error_code ec;
   std::filesystem::create_directories(args.scratch, ec);
-  perfbench::Bench bench(std::move(args));
+  // The gauge before the set-up is taken first; the set-up's clock starts
+  // at process start and leaves out the gauge's own time.
+  const perfbench::SpeedGauge before = perfbench::SpeedGauge::Take();
+  perfbench::Bench bench(std::move(args), before);
   return bench.Run();
 }
